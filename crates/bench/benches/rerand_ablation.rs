@@ -1,8 +1,8 @@
 //! The cost of one full re-randomization cycle (what the randomizer
 //! pool pays per deadline), by module size, by reclaimer, by policy,
 //! and by worker count — including the headline comparison: a 4-worker
-//! `Adaptive` scheduler vs the serial `Rerandomizer` shim over the same
-//! fleet and wall-clock window.
+//! `Adaptive` scheduler vs the serial fixed-period scheduler (the
+//! artifact's kthread shape) over the same fleet and wall-clock window.
 
 use adelie_core::{rerandomize_module, LoadedModule, ModuleRegistry};
 use adelie_gadget::synth_module;
@@ -172,50 +172,32 @@ fn bench_policies(c: &mut Criterion) {
     g.finish();
 }
 
-/// Worker axis + the acceptance comparison: the serial `Rerandomizer`
-/// shim at the artifact's 20 ms default vs scheduler pools of width
+/// Worker axis + the acceptance comparison: the serial fixed-period
+/// scheduler at the artifact's 20 ms default vs scheduler pools of width
 /// 1/2/4 under the adaptive policy, all over the same 3-module fleet
 /// with driver traffic, same wall window. Prints module-cycles and the
 /// adaptive-4w : serial ratio, and asserts the ≥2× claim plus zero
 /// SMR/stack deltas after drain.
-fn bench_workers_vs_serial_shim(c: &mut Criterion) {
+fn bench_workers_vs_serial(c: &mut Criterion) {
     const WINDOW: Duration = Duration::from_millis(400);
 
     fn run(label: &str, width: Option<usize>) -> u64 {
         let (kernel, registry, modules, names) = fleet(3);
         let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        enum Pool {
-            #[allow(deprecated)]
-            Serial(adelie_sched::Rerandomizer),
-            Sched(Scheduler),
-        }
-        let pool = match width {
-            None => {
-                #[allow(deprecated)]
-                let rr = adelie_sched::Rerandomizer::spawn(
-                    kernel.clone(),
-                    registry.clone(),
-                    &refs,
-                    Duration::from_millis(20),
-                );
-                Pool::Serial(rr)
-            }
-            Some(workers) => Pool::Sched(Scheduler::spawn(
-                kernel.clone(),
-                registry.clone(),
-                &refs,
-                SchedConfig {
-                    workers,
-                    policy: Policy::Adaptive {
-                        min: Duration::from_millis(1),
-                        max: Duration::from_millis(50),
-                        rate_scale: 100.0,
-                        exposure_scale: 20.0,
-                    },
-                    ..SchedConfig::default()
+        let config = match width {
+            None => SchedConfig::serial(Duration::from_millis(20)),
+            Some(workers) => SchedConfig {
+                workers,
+                policy: Policy::Adaptive {
+                    min: Duration::from_millis(1),
+                    max: Duration::from_millis(50),
+                    rate_scale: 100.0,
+                    exposure_scale: 20.0,
                 },
-            )),
+                ..SchedConfig::default()
+            },
         };
+        let sched = Scheduler::spawn(kernel.clone(), registry.clone(), &refs, config);
         // Driver traffic so the adaptive policy sees a call rate.
         let stop = AtomicBool::new(false);
         let cycles = std::thread::scope(|s| {
@@ -233,10 +215,7 @@ fn bench_workers_vs_serial_shim(c: &mut Criterion) {
             });
             std::thread::sleep(WINDOW);
             stop.store(true, Ordering::Relaxed);
-            match pool {
-                Pool::Serial(rr) => rr.stop().randomized,
-                Pool::Sched(sched) => sched.stop().cycles,
-            }
+            sched.stop().cycles
         });
         registry.stacks.rotate(&kernel);
         kernel.reclaim.flush();
@@ -256,7 +235,7 @@ fn bench_workers_vs_serial_shim(c: &mut Criterion) {
         b.iter_custom(|iters| {
             let t0 = Instant::now();
             for _ in 0..iters {
-                let serial = run("serial_shim_20ms", None);
+                let serial = run("serial_20ms", None);
                 let _w1 = run("adaptive_1_worker", Some(1));
                 let _w2 = run("adaptive_2_workers", Some(2));
                 let w4 = run("adaptive_4_workers", Some(4));
@@ -266,7 +245,7 @@ fn bench_workers_vs_serial_shim(c: &mut Criterion) {
                 );
                 assert!(
                     w4 >= serial * 2,
-                    "4-worker adaptive must double the serial shim: {w4} vs {serial}"
+                    "4-worker adaptive must double the serial pool: {w4} vs {serial}"
                 );
             }
             t0.elapsed()
@@ -408,7 +387,7 @@ criterion_group!(
     bench_cycle,
     bench_cycle_reclaimers,
     bench_policies,
-    bench_workers_vs_serial_shim,
+    bench_workers_vs_serial,
     bench_tlb_shootdown_regimes,
     bench_read_contention
 );

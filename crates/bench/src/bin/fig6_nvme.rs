@@ -3,6 +3,7 @@
 
 use adelie_bench::{point_duration, print_header, print_row, Unit};
 use adelie_plugin::TransformOptions;
+use adelie_sched::SchedConfig;
 use adelie_workloads::{run_nvme_direct, DriverSet, Testbed};
 use std::time::Duration;
 
@@ -19,10 +20,11 @@ fn main() {
     let m = run_nvme_direct(&tb, dur);
     print_row("adelie, no re-randomization", &m, Unit::OpsPerSec);
     for period_ms in [5u64, 1] {
-        let tb = Testbed::new(opts, DriverSet::storage());
-        let rr = tb.start_rerand(Duration::from_millis(period_ms));
+        let tb = Testbed::new(opts, DriverSet::storage())
+            .with_sched(SchedConfig::serial(Duration::from_millis(period_ms)));
+        let sched = tb.start_scheduler();
         let m = run_nvme_direct(&tb, dur);
-        let stats = rr.stop();
+        let stats = sched.stop();
         print_row(
             &format!("adelie, {period_ms} ms period"),
             &m,
@@ -30,7 +32,7 @@ fn main() {
         );
         println!(
             "    cycles: {}  SMR delta: {}",
-            stats.randomized,
+            stats.cycles,
             tb.kernel.reclaim.stats().delta()
         );
     }

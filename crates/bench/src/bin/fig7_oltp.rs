@@ -3,6 +3,7 @@
 
 use adelie_bench::{concurrency_levels, point_duration, print_header, print_row, Unit};
 use adelie_plugin::TransformOptions;
+use adelie_sched::SchedConfig;
 use adelie_workloads::{run_oltp, DriverSet, Testbed};
 use std::time::Duration;
 
@@ -15,10 +16,11 @@ fn main() {
         let m = run_oltp(&tb, conc, 2, dur);
         print_row("  linux", &m, Unit::OpsPerSec);
         for period_ms in [5u64, 1] {
-            let tb = Testbed::new(TransformOptions::rerandomizable(true), DriverSet::full());
-            let rr = tb.start_rerand(Duration::from_millis(period_ms));
+            let tb = Testbed::new(TransformOptions::rerandomizable(true), DriverSet::full())
+                .with_sched(SchedConfig::serial(Duration::from_millis(period_ms)));
+            let sched = tb.start_scheduler();
             let m = run_oltp(&tb, conc, 2, dur);
-            rr.stop();
+            sched.stop();
             print_row(&format!("  adelie {period_ms} ms"), &m, Unit::OpsPerSec);
         }
     }

@@ -3,6 +3,7 @@
 
 use adelie_bench::{overhead_pct, point_duration, print_header, print_row, Unit};
 use adelie_plugin::TransformOptions;
+use adelie_sched::SchedConfig;
 use adelie_workloads::{run_ioctl, DriverSet, Testbed};
 use std::time::Duration;
 
@@ -11,11 +12,14 @@ fn main() {
     let dur = point_duration();
     let mut results: Vec<(String, f64)> = Vec::new();
     let mut run = |label: &str, opts: TransformOptions, period: Option<u64>| {
-        let tb = Testbed::new(opts, DriverSet::dummy_only());
-        let rr = period.map(|ms| tb.start_rerand(Duration::from_millis(ms)));
+        let mut tb = Testbed::new(opts, DriverSet::dummy_only());
+        let sched = period.map(|ms| {
+            tb.sched = SchedConfig::serial(Duration::from_millis(ms));
+            tb.start_scheduler()
+        });
         let m = run_ioctl(&tb, dur);
-        if let Some(rr) = rr {
-            rr.stop();
+        if let Some(sched) = sched {
+            sched.stop();
         }
         print_row(label, &m, Unit::MopsPerSec);
         results.push((label.to_string(), m.ops_per_sec()));

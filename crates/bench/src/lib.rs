@@ -1,9 +1,11 @@
 //! # adelie-bench — benchmark harness shared helpers
 //!
-//! The Criterion benches (`benches/`) time the paper's workloads; the
-//! figure binaries (`src/bin/fig*.rs`, `table2_chains`, `scalability`,
-//! `security_analysis`) regenerate each table and figure of the
-//! evaluation section as text tables, recorded in EXPERIMENTS.md.
+//! The figure binaries (`src/bin/fig*.rs`, `table2_chains`,
+//! `scalability`, `security_analysis`) regenerate each table and figure
+//! of the evaluation section as text tables. The Criterion benches
+//! (`benches/`) time the layers underneath: reclamation (`reclaim`),
+//! page-table batches (`vmem`), and the re-randomization cycle
+//! (`rerand_ablation`).
 
 use adelie_workloads::Measurement;
 use std::time::Duration;

@@ -814,17 +814,7 @@ impl Fleet {
         // raw copy imported source-shard addresses) and let the module
         // refresh its own run-time pointers.
         let dst_base = dst_module.movable_base.load(Ordering::Acquire);
-        for slot in &dst_module.adjust_slots {
-            let frames = match slot.part {
-                crate::Part::Movable => &dst_module.movable.frames,
-                crate::Part::Immovable => &dst_module.immovable.as_ref().unwrap().frames,
-            };
-            let page = (slot.slot_off / PAGE_SIZE as u64) as usize;
-            let off = (slot.slot_off % PAGE_SIZE as u64) as usize;
-            dst_kernel
-                .phys
-                .write_u64(frames[page], off, dst_base + slot.target_off);
-        }
+        dst_module.rewrite_adjust_slots(dst_kernel, dst_base);
         let update_result = match dst_module.update_pointers_va {
             Some(up) => {
                 let mut vm = dst_kernel.vm();

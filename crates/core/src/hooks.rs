@@ -7,9 +7,9 @@
 //! (via
 //! [`ModuleRegistry::set_cycle_hooks`](crate::ModuleRegistry::set_cycle_hooks)),
 //! every stage first asks [`CycleHooks::allow`]; a `false` answer makes
-//! the cycle fail *at that stage* through the exact same typed-error and
-//! rollback paths a real fault would take — which is how the testkit's
-//! `FaultPlan` proves the rollback invariants hold at every step. After
+//! the cycle fail *at that stage* through the exact same typed error and
+//! cleanup a real fault would take — which is how the testkit's
+//! `FaultPlan` proves a failed cycle leaves no trace at every step. After
 //! a successful cycle, [`CycleHooks::committed`] reports the move, which
 //! is how the testkit's layout oracle learns the ground-truth timeline
 //! of old/new ranges without racing the scheduler.
@@ -27,7 +27,8 @@ pub enum CycleStage {
     /// Atomic PTE swap of the immovable part's local GOT (step 3).
     ImmovableGotSwap,
     /// Adjusting absolute data slots pointing into the movable part
-    /// (step 4).
+    /// (step 4). The last pre-publish gate: the move's one page-table
+    /// batch (steps 2–3) is applied right after it.
     AdjustSlots,
     /// The module's `update_pointers` callback (step 5) — fails *after*
     /// the move has committed.
@@ -82,7 +83,7 @@ pub struct CycleCommit<'a> {
 /// the cycle with the module's `move_lock` held.
 pub trait CycleHooks: Send + Sync {
     /// Called before each stage. Return `false` to make the cycle fail
-    /// at this stage (through the normal typed-error/rollback path).
+    /// at this stage (through the normal typed-error path).
     fn allow(&self, _module: &str, _stage: CycleStage) -> bool {
         true
     }

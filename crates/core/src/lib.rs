@@ -67,8 +67,8 @@ pub use supervise::ShardWatchdog;
 use adelie_kernel::{layout, Kernel};
 use adelie_obj::ObjectFile;
 use adelie_plugin::TransformOptions;
-use adelie_vmem::PAGE_SIZE;
-use parking_lot::RwLock;
+use adelie_vmem::{Pfn, PAGE_SIZE};
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 use va::{VaAllocator, VaReservation};
@@ -175,8 +175,7 @@ impl ModuleRegistry {
     /// Unload a module (rmmod): runs its exit entry point, unpublishes
     /// exports, unmaps both parts, and frees the frames.
     ///
-    /// Stop any scheduler (or legacy `Rerandomizer` shim) driving the
-    /// module first.
+    /// Stop any scheduler driving the module first.
     ///
     /// # Errors
     ///
@@ -257,29 +256,19 @@ impl ModuleRegistry {
             ));
             return Err(format!("{name}: retire batch failed: {fault}"));
         }
-        let lgot_start = (module.movable.lgot_off / PAGE_SIZE as u64) as usize;
-        let lgot_pages = module.movable.lgot_pages();
-        for (i, &pfn) in module.movable.frames.iter().enumerate() {
-            let is_lgot = lgot_pages > 0 && i >= lgot_start && i < lgot_start + lgot_pages;
-            if !is_lgot {
-                self.kernel.phys.free(pfn);
-            }
-        }
-        for pfn in module.movable_lgot_frames.lock().drain(..) {
-            self.kernel.phys.free(pfn);
-        }
-        if let Some(imm) = &module.immovable {
-            let ilgot_start = (imm.lgot_off / PAGE_SIZE as u64) as usize;
-            let ilgot_pages = imm.lgot_pages();
-            for (i, &pfn) in imm.frames.iter().enumerate() {
-                let is_lgot = ilgot_pages > 0 && i >= ilgot_start && i < ilgot_start + ilgot_pages;
-                if !is_lgot {
+        let free_part = |img: &PartImage, lgot_frames: &Mutex<Vec<Pfn>>| {
+            for (i, &pfn) in img.frames.iter().enumerate() {
+                if !img.is_lgot_page(i) {
                     self.kernel.phys.free(pfn);
                 }
             }
-            for pfn in module.immovable_lgot_frames.lock().drain(..) {
+            for pfn in lgot_frames.lock().drain(..) {
                 self.kernel.phys.free(pfn);
             }
+        };
+        free_part(&module.movable, &module.movable_lgot_frames);
+        if let Some(imm) = &module.immovable {
+            free_part(imm, &module.immovable_lgot_frames);
         }
         self.kernel.printk.log(format!("module {name}: unloaded"));
         Ok(())
@@ -1006,6 +995,126 @@ mod tests {
             legacy_full > 0,
             "legacy regime must pay whole-TLB flushes per cycle"
         );
+    }
+
+    /// Hooks that record `SpaceStats::batches` as each stage is asked,
+    /// and deny one chosen stage.
+    struct StageProbe {
+        kernel: Arc<Kernel>,
+        deny: Option<CycleStage>,
+        seen: Mutex<Vec<(CycleStage, u64)>>,
+    }
+
+    impl StageProbe {
+        fn install(registry: &ModuleRegistry, deny: Option<CycleStage>) -> Arc<StageProbe> {
+            let probe = Arc::new(StageProbe {
+                kernel: registry.kernel().clone(),
+                deny,
+                seen: Mutex::new(Vec::new()),
+            });
+            registry.set_cycle_hooks(probe.clone());
+            probe
+        }
+
+        fn batches_at(&self, stage: CycleStage) -> u64 {
+            let seen = self.seen.lock();
+            seen.iter()
+                .find(|(s, _)| *s == stage)
+                .expect("stage asked")
+                .1
+        }
+    }
+
+    impl CycleHooks for StageProbe {
+        fn allow(&self, _module: &str, stage: CycleStage) -> bool {
+            let batches = self.kernel.space.stats().batches;
+            self.seen.lock().push((stage, batches));
+            self.deny != Some(stage)
+        }
+    }
+
+    /// The move — alias, movable GOT, immovable-GOT swap — is one
+    /// page-table transaction: nothing is applied while its stages
+    /// queue, and exactly one batch lands between the last gate and
+    /// retirement.
+    #[test]
+    fn a_cycle_moves_in_one_page_table_transaction() {
+        let opts = TransformOptions::rerandomizable(true);
+        let (kernel, registry, module) = setup(&opts);
+        assert!(
+            module.movable.lgot_pages() > 0,
+            "demo has a movable local GOT"
+        );
+        let imm = module.immovable.as_ref().unwrap();
+        assert!(imm.lgot_pages() > 0, "demo has an immovable local GOT");
+        let probe = StageProbe::install(&registry, None);
+        let calc = module.export("demo_calc").unwrap();
+        let mut vm = kernel.vm();
+        for _ in 0..3 {
+            assert_eq!(vm.call(calc, &[16]).unwrap(), 42);
+            probe.seen.lock().clear();
+            let before = kernel.space.stats();
+            rerandomize_module(&kernel, &registry, &module).unwrap();
+            let after = kernel.space.stats();
+            assert_eq!(
+                probe.batches_at(CycleStage::AdjustSlots),
+                probe.batches_at(CycleStage::Reserve),
+                "no stage applies its own batch"
+            );
+            assert_eq!(
+                probe.batches_at(CycleStage::Retire) - probe.batches_at(CycleStage::AdjustSlots),
+                1,
+                "the move is one apply"
+            );
+            // Per cycle: the move, the old range's retire (no call is
+            // pending, so it runs at once), and the stack-pool rotation.
+            assert_eq!(after.batches - before.batches, 3);
+            assert_eq!(after.snapshot_publishes - before.snapshot_publishes, 3);
+        }
+        assert_eq!(vm.call(calc, &[16]).unwrap(), 42);
+    }
+
+    /// A denied pre-publish stage leaves no trace: no snapshot was
+    /// published, every frame the cycle allocated is back, and the
+    /// module still runs (and cycles) at its old base.
+    #[test]
+    fn a_denied_pre_publish_stage_publishes_nothing() {
+        let opts = TransformOptions::rerandomizable(true);
+        for stage in [
+            CycleStage::Reserve,
+            CycleStage::AliasMap,
+            CycleStage::MovableGot,
+            CycleStage::ImmovableGotSwap,
+            CycleStage::AdjustSlots,
+        ] {
+            let (kernel, registry, module) = setup(&opts);
+            StageProbe::install(&registry, Some(stage));
+            let calc = module.export("demo_calc").unwrap();
+            let mut vm = kernel.vm();
+            assert_eq!(vm.call(calc, &[16]).unwrap(), 42);
+            let base0 = module.movable_base.load(Ordering::Relaxed);
+            let publishes = kernel.space.stats().snapshot_publishes;
+            let frames_live = kernel.phys.stats().frames_live;
+            assert!(
+                rerandomize_module(&kernel, &registry, &module).is_err(),
+                "{stage}"
+            );
+            assert_eq!(
+                kernel.space.stats().snapshot_publishes,
+                publishes,
+                "{stage}"
+            );
+            assert_eq!(kernel.phys.stats().frames_live, frames_live, "{stage}");
+            assert_eq!(
+                module.movable_base.load(Ordering::Relaxed),
+                base0,
+                "{stage}"
+            );
+            assert_eq!(vm.call(calc, &[16]).unwrap(), 42, "{stage}");
+            registry.clear_cycle_hooks();
+            rerandomize_module(&kernel, &registry, &module).unwrap();
+            assert_eq!(vm.call(calc, &[16]).unwrap(), 42, "{stage}");
+        }
     }
 
     #[test]

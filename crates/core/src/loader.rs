@@ -10,7 +10,8 @@
 //! Linux: absolute relocations, single region in the 2 GiB window.
 
 use crate::module::{
-    AdjustSlot, LazyPltSlot, LoadStats, LoadedModule, LocalGotEntry, PageGroup, Part, PartImage,
+    write_local_got, AdjustSlot, LazyPltSlot, LoadStats, LoadedModule, LocalGotEntry, PageGroup,
+    Part, PartImage,
 };
 use crate::va::{VaAllocator, VaReservation};
 use adelie_isa::{Asm, Reg};
@@ -861,15 +862,12 @@ impl<'k> Loader<'k> {
             }
             // GOT contents. Lazy slots start at their binder trampoline;
             // everything else resolves eagerly at load time.
-            for (i, e) in plan.lgot.iter().enumerate() {
-                let v = match e {
-                    LocalGotEntry::Sym { offset, .. } => movable_base + offset,
-                    LocalGotEntry::Key => key,
-                    LocalGotEntry::Lazy { binder, .. } => *binder,
-                };
-                let off = plan.lgot_off as usize + i * 8;
-                img[off..off + 8].copy_from_slice(&v.to_le_bytes());
-            }
+            write_local_got(
+                &plan.lgot,
+                movable_base,
+                key,
+                &mut img[plan.lgot_off as usize..],
+            );
             for (i, name) in plan.fgot.iter().enumerate() {
                 let v = match lazy_fgot.get(&(plan.part, i)) {
                     Some(&binder) => binder,

@@ -114,6 +114,36 @@ impl PartImage {
     pub fn lgot_pages(&self) -> usize {
         (self.lgot_slots * 8).div_ceil(adelie_vmem::PAGE_SIZE)
     }
+
+    /// Whether page `page` of this part holds its local GOT — the only
+    /// pages whose frames are replaced every cycle (and therefore owned
+    /// by the module's current-frames list, not by [`PartImage::frames`]).
+    pub(crate) fn is_lgot_page(&self, page: usize) -> bool {
+        let start = (self.lgot_off / PAGE_SIZE as u64) as usize;
+        (start..start + self.lgot_pages()).contains(&page)
+    }
+}
+
+/// Write a local-GOT image into the front of `out`: symbol entries
+/// rebased onto `movable_base`, the key slot holding `key`, and lazy
+/// slots unbound (at their binder — bound slots are re-swung after
+/// publication). The loader and every re-randomization cycle build
+/// their tables through this one function.
+pub(crate) fn write_local_got(
+    entries: &[LocalGotEntry],
+    movable_base: u64,
+    key: u64,
+    out: &mut [u8],
+) {
+    debug_assert!(out.len() >= entries.len() * 8, "local GOT image too small");
+    for (e, slot) in entries.iter().zip(out.chunks_exact_mut(8)) {
+        let v = match e {
+            LocalGotEntry::Sym { offset, .. } => movable_base + offset,
+            LocalGotEntry::Key => key,
+            LocalGotEntry::Lazy { binder, .. } => *binder,
+        };
+        slot.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// Per-load statistics (feeds Fig. 5a and the §4.1 patching discussion).
@@ -272,6 +302,27 @@ impl LoadedModule {
     /// Times this module has been re-randomized.
     pub fn times_randomized(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
+    }
+
+    /// Point every adjustable data slot at `movable_base` (paper §6:
+    /// "pointers are also adjusted when re-randomizing"). Direct frame
+    /// writes: the slots may live on sealed (read-only-mapped) pages.
+    pub(crate) fn rewrite_adjust_slots(&self, kernel: &Kernel, movable_base: u64) {
+        for slot in &self.adjust_slots {
+            let img = match slot.part {
+                Part::Movable => &self.movable,
+                Part::Immovable => self
+                    .immovable
+                    .as_ref()
+                    .expect("adjust slot in missing part"),
+            };
+            let off = slot.slot_off as usize;
+            kernel.phys.write_u64(
+                img.frames[off / PAGE_SIZE],
+                off % PAGE_SIZE,
+                movable_base + slot.target_off,
+            );
+        }
     }
 
     /// The current virtual address of a lazy slot's GOT cell.

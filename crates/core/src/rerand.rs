@@ -10,7 +10,7 @@
 //! 3. build **new local GOTs** for both parts with entries rebased to
 //!    the new addresses and a fresh encryption key; the new mapping's
 //!    local-GOT pages point at the new frames, and the immovable part's
-//!    local-GOT page is atomically swapped onto its new frame,
+//!    local-GOT pages are swung onto their new frames,
 //! 4. adjust absolute data slots that point into the movable part,
 //! 5. invoke the module's `update_pointers` callback if it has one,
 //! 6. `mr_retire` the old range: it is unmapped (and the old local-GOT
@@ -20,22 +20,25 @@
 //! Pending calls keep executing at the old addresses with the old GOTs
 //! and the old key until they return — consistency by construction.
 //!
-//! Every page-table mutation above is issued as an `adelie_vmem::Batch`:
-//! the alias map, the GOT maps, the immovable GOT swing, the retire
-//! unmap, and the stack rotation each apply under one page-table lock
-//! acquisition and publish at most one range-tagged shootdown, so TLBs
+//! Steps 2–3 are **one** make-before-break page-table transaction: each
+//! stage queues its ops (alias maps, the movable-GOT map, the
+//! immovable-GOT frame swaps) into a single `adelie_vmem::Batch`, applied
+//! once after the last stage gate. The new alias, the new movable GOT
+//! and the swung immovable GOT therefore become visible at one root
+//! store, with at most one range-tagged shootdown (the swap's), and a
+//! cycle that stops before that store has published nothing — its only
+//! cleanup is freeing the GOT frames it allocated. The retire unmap and
+//! the stack rotation are the cycle's other two transactions, so TLBs
 //! evict only the affected spans instead of flushing wholesale (§4.3).
 //! [`rerandomize_module_epoch`] additionally tags the cycle's batches
 //! with the scheduler's shared shootdown epoch.
 //!
-//! The background thread that used to live here (the artifact's
-//! `randmod` kthread) is superseded by `adelie-sched`: a multi-worker
-//! scheduler with per-module policies and a CPU budget. Its
-//! single-worker compatibility shim (`adelie_sched::Rerandomizer`)
-//! preserves the old `spawn`/`stop` API.
+//! Scheduling cycles (the artifact's `randmod` kthread) is
+//! `adelie-sched`'s job: a multi-worker scheduler with per-module
+//! policies and a CPU budget.
 
 use crate::hooks::{CycleCommit, CycleStage};
-use crate::module::{LoadedModule, LocalGotEntry, Part};
+use crate::module::{write_local_got, LoadedModule, LocalGotEntry};
 use crate::stacks::StackPool;
 use crate::ModuleRegistry;
 use adelie_kernel::{Kernel, VmError};
@@ -65,11 +68,13 @@ pub enum RerandError {
         /// Pages requested.
         pages: usize,
     },
-    /// Mapping or swapping pages at the new base failed.
+    /// The move's page-table transaction failed, or one of its stages
+    /// was denied.
     Remap {
         /// Module name (shared id — no per-error allocation).
         module: Arc<str>,
-        /// Which remap step failed (alias, local GOT, immovable GOT).
+        /// The denied stage (alias, local GOT, immovable GOT swap,
+        /// adjust-slots), or `move` for a fault applying the whole move.
         what: &'static str,
         /// The underlying page-table fault.
         fault: Fault,
@@ -127,9 +132,9 @@ impl std::error::Error for RerandError {
 ///
 /// [`RerandError`] — the module is left fully functional on any error
 /// and callers may simply retry later. Placement and mapping errors
-/// roll the cycle back completely (the module has not moved, nothing
-/// is leaked); a failing `update_pointers` callback is reported after
-/// the move has committed and the old range been retired (see
+/// publish nothing (the module has not moved, nothing is leaked); a
+/// failing `update_pointers` callback is reported after the move has
+/// committed and the old range been retired (see
 /// [`RerandError::UpdatePointers`]).
 pub fn rerandomize_module(
     kernel: &Arc<Kernel>,
@@ -140,12 +145,12 @@ pub fn rerandomize_module(
 }
 
 /// [`rerandomize_module`] with an explicit shared shootdown-`epoch`
-/// tag: every invalidating page-table batch the cycle issues (the GOT
-/// swing, the retire unmap, the stack-pool rotation) carries the tag,
-/// so same-deadline cycles of independent modules — which the
-/// scheduler hands the same epoch — coalesce their invalidation sets
-/// into one merged log slot and a lagging TLB pays a single partial
-/// invalidation pass for the whole epoch.
+/// tag: every page-table batch the cycle issues (the move, the retire
+/// unmap, the stack-pool rotation) carries the tag, so same-deadline
+/// cycles of independent modules — which the scheduler hands the same
+/// epoch — coalesce their invalidation sets into one merged log slot
+/// and a lagging TLB pays a single partial invalidation pass for the
+/// whole epoch.
 ///
 /// # Errors
 ///
@@ -193,171 +198,94 @@ pub fn rerandomize_module_epoch(
         what,
         fault,
     };
-    // Pre-publish rollback: unmap whatever earlier *batches* already
-    // applied at the new base and free frames allocated this cycle that
-    // the module never took ownership of. Individual batches are atomic
-    // (a failed batch leaves nothing behind), so only previously
-    // *successful* batches need tearing down. The reservation is still
-    // held while this runs, so no other placement can race into the
-    // half-torn-down range. After it, the module is genuinely untouched
-    // and the cycle can simply be retried.
-    let rollback = |fresh: &[Pfn], unmap_new: bool| {
-        if unmap_new {
-            let mut batch = Batch::with_epoch(epoch);
-            batch.unmap_sparse(new_base, pages);
-            let _ = kernel.space.apply(batch);
-        }
+    // The one pre-publish cleanup: nothing is visible until the move's
+    // single `apply`, so a cycle stopped before (or by) it only has to
+    // free this cycle's fresh GOT frames. The reservation drops with
+    // the return. After it, the module is untouched and the cycle can
+    // simply be retried.
+    let discard = |fresh: &[Pfn], err: RerandError| {
         for &pfn in fresh {
             kernel.phys.free(pfn);
         }
+        Err(err)
     };
+    // Fresh frames holding a rebuilt local GOT for the new base and key.
+    let fresh_lgot = |entries: &[LocalGotEntry], lgot_pages: usize| -> Vec<Pfn> {
+        let mut img = vec![0u8; lgot_pages * PAGE_SIZE];
+        write_local_got(entries, new_base, new_key, &mut img);
+        let pfns = kernel.phys.alloc_n(lgot_pages);
+        for (&pfn, page) in pfns.iter().zip(img.chunks_exact(PAGE_SIZE)) {
+            kernel.phys.write(pfn, 0, page);
+        }
+        pfns
+    };
+    // Steps (2)–(3) queue into this one batch: the move.
+    let mut batch = Batch::with_epoch(epoch);
 
     // (2) Zero-copy alias of every movable page group, except the local
-    // GOT pages which get fresh frames. One batch: a single page-table
-    // lock acquisition instead of one per page (and being map-only, it
-    // publishes no shootdown at all).
+    // GOT pages which get fresh frames in step (3).
     if !allowed(CycleStage::AliasMap) {
         return Err(remap("alias", Fault::Injected { va: new_base }));
     }
-    let lgot_page_start = (module.movable.lgot_off / PAGE_SIZE as u64) as usize;
-    let lgot_pages = module.movable.lgot_pages();
-    let mut alias_batch = Batch::with_epoch(epoch);
     for g in &module.movable.groups {
-        for i in 0..g.pages {
-            let page = g.page_start + i;
-            if lgot_pages > 0 && page >= lgot_page_start && page < lgot_page_start + lgot_pages {
-                continue; // handled in step (3)
+        for page in g.page_start..g.page_start + g.pages {
+            if !module.movable.is_lgot_page(page) {
+                let va = new_base + (page * PAGE_SIZE) as u64;
+                batch.map_page(va, module.movable.frames[page], g.flags);
             }
-            let va = new_base + (page * PAGE_SIZE) as u64;
-            alias_batch.map_page(va, module.movable.frames[page], g.flags);
         }
-    }
-    if let Err(fault) = kernel.space.apply(alias_batch) {
-        return Err(remap("alias", fault));
     }
 
-    // (3) New local GOTs.
-    let build_lgot = |entries: &[LocalGotEntry]| -> Vec<u8> {
-        let mut bytes = vec![
-            0u8;
-            (entries.len() * 8)
-                .next_multiple_of(PAGE_SIZE)
-                .max(PAGE_SIZE)
-        ];
-        for (i, e) in entries.iter().enumerate() {
-            let v = match e {
-                LocalGotEntry::Sym { offset, .. } => new_base + offset,
-                LocalGotEntry::Key => new_key,
-                // A rebuilt table starts lazy slots unbound (at the
-                // binder); bound slots are re-swung after publication.
-                LocalGotEntry::Lazy { binder, .. } => *binder,
-            };
-            bytes[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
-        }
-        bytes
-    };
-    // All fallible mapping work happens before the module takes
-    // ownership of any fresh frame, so every error path above and below
-    // can restore the exact pre-cycle state.
-    let mut new_mov_lgot: Vec<Pfn> = Vec::new();
+    // (3) New local GOTs: fresh movable-GOT frames mapped at the new
+    // base (sealed from birth), then the immovable GOT's PTEs swung onto
+    // fresh frames — pending calls read either the old or the new table,
+    // never a hole (§4.2 "GOT pages in the new address space are
+    // remapped to point to the new GOTs"). `fresh` holds the movable
+    // frames first, then the immovable ones.
+    let mut fresh: Vec<Pfn> = Vec::new();
+    let lgot_pages = module.movable.lgot_pages();
     if lgot_pages > 0 {
+        let va = new_base + module.movable.lgot_off;
         if !allowed(CycleStage::MovableGot) {
-            rollback(&[], true);
-            return Err(remap(
-                "local GOT",
-                Fault::Injected {
-                    va: new_base + module.movable.lgot_off,
-                },
-            ));
+            return Err(remap("local GOT", Fault::Injected { va }));
         }
-        let img = build_lgot(&module.lgot_movable);
-        new_mov_lgot = kernel.phys.alloc_n(lgot_pages);
-        for (i, &pfn) in new_mov_lgot.iter().enumerate() {
-            kernel
-                .phys
-                .write(pfn, 0, &img[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]);
-        }
-        let mut lgot_batch = Batch::with_epoch(epoch);
-        lgot_batch.map_range(
-            new_base + module.movable.lgot_off,
-            &new_mov_lgot,
-            PteFlags::RO_DATA, // sealed from birth
-        );
-        if let Err(fault) = kernel.space.apply(lgot_batch) {
-            rollback(&new_mov_lgot, true);
-            return Err(remap("local GOT", fault));
-        }
+        fresh = fresh_lgot(&module.lgot_movable, lgot_pages);
+        batch.map_range(va, &fresh, PteFlags::RO_DATA);
     }
-    let mut new_imm_lgot: Vec<Pfn> = Vec::new();
-    if let Some(imm) = &module.immovable {
-        let imm_lgot_pages = imm.lgot_pages();
-        if imm_lgot_pages > 0 {
-            if !allowed(CycleStage::ImmovableGotSwap) {
-                rollback(&new_mov_lgot, true);
-                return Err(remap(
-                    "immovable GOT swap",
-                    Fault::Injected {
-                        va: imm.base + imm.lgot_off,
-                    },
-                ));
-            }
-            let img = build_lgot(&module.lgot_immovable);
-            new_imm_lgot = kernel.phys.alloc_n(imm_lgot_pages);
-            for (i, &pfn) in new_imm_lgot.iter().enumerate() {
-                kernel
-                    .phys
-                    .write(pfn, 0, &img[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]);
-            }
-            // Atomic PTE swing, one batch: pending calls read either the
-            // old or the new table, never a hole (§4.2 "GOT pages in the
-            // new address space are remapped to point to the new GOTs").
-            // The batch is all-or-nothing — a mid-batch failure swaps
-            // every completed page straight back inside vmem — and it
-            // publishes ONE shootdown where the old code paid one per
-            // GOT page.
-            let mut swap_batch = Batch::with_epoch(epoch);
-            for (i, &pfn) in new_imm_lgot.iter().enumerate() {
-                let va = imm.base + imm.lgot_off + (i * PAGE_SIZE) as u64;
-                swap_batch.swap_frame(va, pfn, PteFlags::RO_DATA);
-            }
-            if let Err(fault) = kernel.space.apply(swap_batch) {
-                let fresh: Vec<Pfn> = new_mov_lgot.iter().chain(&new_imm_lgot).copied().collect();
-                rollback(&fresh, true);
-                return Err(remap("immovable GOT swap", fault));
-            }
+    let movable_lgot_len = fresh.len();
+    if let Some(imm) = module.immovable.as_ref().filter(|imm| imm.lgot_pages() > 0) {
+        let va = imm.base + imm.lgot_off;
+        if !allowed(CycleStage::ImmovableGotSwap) {
+            return discard(&fresh, remap("immovable GOT swap", Fault::Injected { va }));
         }
+        let imm_lgot = fresh_lgot(&module.lgot_immovable, imm.lgot_pages());
+        for (i, &pfn) in imm_lgot.iter().enumerate() {
+            batch.swap_frame(va + (i * PAGE_SIZE) as u64, pfn, PteFlags::RO_DATA);
+        }
+        fresh.extend(imm_lgot);
     }
-    // Last pre-commit stage gate: a denied AdjustSlots stage rolls back
-    // everything above, including swapping the immovable local-GOT PTEs
-    // back onto their old frames in one batch (the data slots
-    // themselves have not been touched yet).
+    // Last pre-publish stage gate, then the move's one transaction.
     if !allowed(CycleStage::AdjustSlots) {
-        if let Some(imm) = &module.immovable {
-            let cur = module.immovable_lgot_frames.lock();
-            let mut unswap = Batch::with_epoch(epoch);
-            for (j, &old) in cur.iter().enumerate() {
-                let va_j = imm.base + imm.lgot_off + (j * PAGE_SIZE) as u64;
-                unswap.swap_frame(va_j, old, PteFlags::RO_DATA);
-            }
-            if !unswap.is_empty() {
-                let _ = kernel.space.apply(unswap);
-            }
-        }
-        let fresh: Vec<Pfn> = new_mov_lgot.iter().chain(&new_imm_lgot).copied().collect();
-        rollback(&fresh, true);
-        return Err(remap("adjust-slots", Fault::Injected { va: new_base }));
+        return discard(
+            &fresh,
+            remap("adjust-slots", Fault::Injected { va: new_base }),
+        );
+    }
+    if let Err(fault) = kernel.space.apply(batch) {
+        return discard(&fresh, remap("move", fault));
     }
 
-    // Nothing can fail before publication now: hand the fresh GOT
-    // frames to the module and collect the ones they replace.
+    // Published: hand the fresh GOT frames to the module and collect
+    // the ones they replace.
+    let new_imm_lgot = fresh.split_off(movable_lgot_len);
     let mut doomed_frames = Vec::new();
-    if !new_mov_lgot.is_empty() {
-        let mut cur = module.movable_lgot_frames.lock();
-        doomed_frames.append(&mut std::mem::replace(&mut *cur, new_mov_lgot));
-    }
-    if !new_imm_lgot.is_empty() {
-        let mut cur = module.immovable_lgot_frames.lock();
-        doomed_frames.append(&mut std::mem::replace(&mut *cur, new_imm_lgot));
+    for (new, cur) in [
+        (fresh, &module.movable_lgot_frames),
+        (new_imm_lgot, &module.immovable_lgot_frames),
+    ] {
+        if !new.is_empty() {
+            doomed_frames.append(&mut std::mem::replace(&mut *cur.lock(), new));
+        }
     }
     // The new range is fully mapped: the page tables now exclude it from
     // other placements, so the reservation can go. Debug builds prove
@@ -380,20 +308,8 @@ pub fn rerandomize_module_epoch(
     }
     drop(reservation);
 
-    // (4) Adjust movable pointers in data (paper §6: "pointers are also
-    // adjusted when re-randomizing"). Direct frame writes: the slots may
-    // live on sealed (read-only-mapped) pages.
-    for slot in &module.adjust_slots {
-        let frames = match slot.part {
-            Part::Movable => &module.movable.frames,
-            Part::Immovable => &module.immovable.as_ref().unwrap().frames,
-        };
-        let page = (slot.slot_off / PAGE_SIZE as u64) as usize;
-        let off = (slot.slot_off % PAGE_SIZE as u64) as usize;
-        kernel
-            .phys
-            .write_u64(frames[page], off, new_base + slot.target_off);
-    }
+    // (4) Adjust movable pointers in data.
+    module.rewrite_adjust_slots(kernel, new_base);
 
     // (5) Publish, then let the module refresh any run-time pointers.
     module.movable_base.store(new_base, Ordering::Release);

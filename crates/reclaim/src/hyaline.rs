@@ -59,6 +59,9 @@ pub struct Hyaline {
 // party (the slot lists via CAS hand-off, or the batch refcount), and all
 // payloads are `Send`.
 unsafe impl Send for Hyaline {}
+// SAFETY: shared access goes through atomics only — slot heads and the
+// batch refcounts are CAS/fetch-sub protocols, so no `&Hyaline` method
+// touches a node without first winning its ownership.
 unsafe impl Sync for Hyaline {}
 
 impl Hyaline {

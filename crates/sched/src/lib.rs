@@ -28,9 +28,8 @@
 //!   driven one deterministic [`Scheduler::step`] at a time by
 //!   `adelie-testkit`.
 //!
-//! The old API survives as [`Rerandomizer`], a deprecated thin shim
-//! over a single-worker `Scheduler`. See DESIGN.md §6 for the
-//! architecture.
+//! The artifact's serial kthread is the one-worker configuration
+//! [`SchedConfig::serial`]. See DESIGN.md §6 for the architecture.
 //!
 //! # Example
 //!
@@ -71,7 +70,6 @@ mod fleet;
 mod health;
 mod policy;
 mod scheduler;
-mod shim;
 mod stats;
 
 pub use budget::BudgetController;
@@ -84,7 +82,4 @@ pub use health::{
 };
 pub use policy::{Policy, PolicyInputs};
 pub use scheduler::{CycleReport, SchedConfig, Scheduler};
-pub use shim::RerandStats;
-#[allow(deprecated)]
-pub use shim::Rerandomizer;
 pub use stats::{LatencyHistogram, LatencySnapshot, ModuleSchedStats, SchedStats};

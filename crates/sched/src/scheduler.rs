@@ -14,8 +14,8 @@
 //!
 //! Failures are non-fatal: a failed cycle is counted, logged to printk,
 //! and the module simply keeps running at its current base until the
-//! next deadline (the old single-thread `Rerandomizer` silently died on
-//! the first error, taking every other module's protection with it).
+//! next deadline (the artifact's single kthread died on the first
+//! error, taking every other module's protection with it).
 //!
 //! # Timelines and step mode
 //!
@@ -155,7 +155,8 @@ struct ModuleEntry {
     calls: Arc<AtomicU64>,
     /// `(clock ns, calls)` at the last rate sample.
     rate_anchor: Mutex<(u64, u64)>,
-    /// Last computed call rate (f64 bits).
+    /// Smoothed call rate (f64 bits): an EWMA over rate windows, so one
+    /// quiet window after a burst decays it instead of zeroing it.
     calls_per_sec: AtomicU64,
     /// Gadgets/KiB of movable text (f64 bits).
     exposure: AtomicU64,
@@ -218,13 +219,22 @@ impl ModuleEntry {
         Self::store_f64(&self.exposure, gadgets as f64 / kib);
     }
 
-    /// Sample call rate since the last cycle and assemble policy inputs.
+    /// Fold the call rate since the last sample into the smoothed rate
+    /// and assemble policy inputs. Windows shorter than 100 µs are
+    /// skipped (they would be dominated by noise); the first window with
+    /// traffic seeds the average directly.
     fn sample_inputs(&self, kernel: &Arc<Kernel>, now_ns: u64, pressure: f64) -> PolicyInputs {
         let calls_now = self.calls.load(Ordering::Relaxed);
         let mut anchor = self.rate_anchor.lock().unwrap_or_else(|e| e.into_inner());
         let dt_ns = now_ns.saturating_sub(anchor.0);
         if dt_ns >= 100_000 {
-            let rate = (calls_now - anchor.1) as f64 / (dt_ns as f64 / 1e9);
+            let window = (calls_now - anchor.1) as f64 / (dt_ns as f64 / 1e9);
+            let prev = Self::load_f64(&self.calls_per_sec);
+            let rate = if prev == 0.0 {
+                window
+            } else {
+                prev + RATE_EWMA_WEIGHT * (window - prev)
+            };
             Self::store_f64(&self.calls_per_sec, rate);
             *anchor = (now_ns, calls_now);
         }
@@ -260,6 +270,11 @@ impl ModuleEntry {
         }
     }
 }
+
+/// Weight of the newest window in the smoothed call rate: a burst
+/// reaches ~90% of its level within 8 windows, and a silence halves the
+/// rate every ~2.4 windows without ever reading as idle at once.
+const RATE_EWMA_WEIGHT: f64 = 0.25;
 
 /// State shared between the handle and the workers.
 struct Shared {

@@ -94,6 +94,57 @@ fn scheduler_drives_cycles_and_logs_stats() {
     assert!(m.calls_per_sec > 0.0, "call-rate hook fired: {m:?}");
 }
 
+/// The call rate is smoothed, not the latest window: a silence after a
+/// burst decays it but never reads as idle, and the next burst pulls it
+/// back up. Stepped on a virtual clock, so the windows are exact.
+#[test]
+fn call_rate_decays_through_silence_between_bursts() {
+    use adelie_sched::SimClock;
+    let (kernel, registry, modules) = boot_n(1);
+    let period = Duration::from_millis(1);
+    let sched = Scheduler::spawn_stepped(
+        kernel.clone(),
+        registry.clone(),
+        &[("mod0", Policy::FixedPeriod(period))],
+        SchedConfig::serial(period),
+        SimClock::new(),
+        Duration::from_micros(100),
+    );
+    let calc = modules[0].export("mod0_calc").unwrap();
+    let mut vm = kernel.vm();
+    let rate = || sched.stats().modules[0].calls_per_sec;
+    let mut burst = |cycles: usize| {
+        for _ in 0..cycles {
+            for _ in 0..50 {
+                assert_eq!(vm.call(calc, &[16]).unwrap(), 42);
+            }
+            sched.step().unwrap();
+        }
+    };
+
+    burst(10);
+    let busy = rate();
+    assert!(busy > 0.0, "burst observed: {busy}");
+    let mut last = busy;
+    for i in 0..20 {
+        sched.step().unwrap();
+        let r = rate();
+        assert!(r > 0.0, "silent window {i} zeroed the rate");
+        assert!(
+            r < last,
+            "silent window {i} must decay the rate: {r} vs {last}"
+        );
+        last = r;
+    }
+    burst(10);
+    assert!(
+        rate() > last * 2.0,
+        "second burst lifts the rate: {} vs {last}",
+        rate()
+    );
+    assert_eq!(sched.stop().failures, 0);
+}
+
 #[test]
 fn concurrent_callers_survive_scheduling() {
     let (kernel, registry, modules) = boot_n(2);
@@ -319,8 +370,8 @@ fn budget_applies_backpressure() {
 
 /// The acceptance claim: a 4-worker Adaptive scheduler over 3 busy
 /// modules completes ≥ 2× the module-cycles of the serial fixed-period
-/// `Rerandomizer` shim (at the artifact's default 20 ms period) in the
-/// same wall time — because it tightens periods where call rate and
+/// scheduler (the artifact's kthread at its default 20 ms period) in
+/// the same wall time — because it tightens periods where call rate and
 /// gadget exposure demand it instead of sleeping a fixed schedule.
 #[test]
 fn adaptive_four_workers_doubles_serial_shim_cycles() {
@@ -328,12 +379,11 @@ fn adaptive_four_workers_doubles_serial_shim_cycles() {
 
     let serial = {
         let (kernel, registry, modules) = boot_n(3);
-        #[allow(deprecated)]
-        let rr = adelie_sched::Rerandomizer::spawn(
+        let sched = Scheduler::spawn(
             kernel.clone(),
             registry.clone(),
             &["mod0", "mod1", "mod2"],
-            Duration::from_millis(20),
+            SchedConfig::serial(Duration::from_millis(20)),
         );
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
@@ -341,10 +391,10 @@ fn adaptive_four_workers_doubles_serial_shim_cycles() {
             std::thread::sleep(WINDOW);
             stop.store(true, Ordering::Relaxed);
         });
-        let stats = rr.stop();
+        let stats = sched.stop();
         kernel.reclaim.flush();
         assert_eq!(kernel.reclaim.stats().delta(), 0);
-        stats.randomized
+        stats.cycles
     };
 
     let adaptive = {
@@ -381,7 +431,7 @@ fn adaptive_four_workers_doubles_serial_shim_cycles() {
 
     assert!(
         adaptive >= serial * 2,
-        "adaptive pool should at least double the serial shim: {adaptive} vs {serial}"
+        "adaptive pool should at least double the serial pool: {adaptive} vs {serial}"
     );
 }
 

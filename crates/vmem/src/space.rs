@@ -2311,6 +2311,9 @@ mod tests {
         let pfns: Vec<Pfn> = (0..5).map(|_| phys.alloc()).collect();
         space.map_range(base, &pfns, PteFlags::DATA).unwrap();
         let probe = |va: u64, access: Access| {
+            // SAFETY: single-threaded test: no batch runs while `snap`
+            // is live, so the published root cannot be retired (let
+            // alone freed) under it.
             let snap = unsafe { &*space.snapshot.load(Ordering::SeqCst) };
             assert_eq!(
                 walk_flat(snap, va, access),
@@ -2338,6 +2341,8 @@ mod tests {
         // Tear the rest down: the directory must drop emptied prefixes.
         space.unmap_range(pages[3], 2).unwrap();
         space.unmap(pages[0]).unwrap();
+        // SAFETY: as in `probe`: no mutation follows while `snap` is
+        // live, so its root cannot be retired under it.
         let snap = unsafe { &*space.snapshot.load(Ordering::SeqCst) };
         assert!(
             snap.flat.is_empty(),

@@ -312,24 +312,6 @@ impl Testbed {
             cycle_cost,
         )
     }
-
-    /// Start continuous re-randomization of the installed modules at a
-    /// fixed `period` — the legacy single-worker shape, kept for the
-    /// figure benches that sweep `rand_period`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the installed modules were not built re-randomizable.
-    #[allow(deprecated)]
-    pub fn start_rerand(&self, period: Duration) -> adelie_sched::Rerandomizer {
-        let names: Vec<&str> = self.module_names.iter().map(|s| s.as_str()).collect();
-        adelie_sched::Rerandomizer::spawn(
-            self.kernel.clone(),
-            self.registry.clone(),
-            &names,
-            period,
-        )
-    }
 }
 
 /// The four Fig. 5 system configurations.
@@ -398,12 +380,13 @@ mod tests {
         let tb = Testbed::new(
             TransformOptions::rerandomizable(true),
             DriverSet::dummy_only(),
-        );
-        let rr = tb.start_rerand(Duration::from_millis(1));
+        )
+        .with_sched(SchedConfig::serial(Duration::from_millis(1)));
+        let sched = tb.start_scheduler();
         let m = run_ioctl(&tb, SHORT);
-        let stats = rr.stop();
+        let stats = sched.stop();
         assert!(m.ops > 256);
-        assert!(stats.randomized > 0);
+        assert!(stats.cycles > 0);
         assert_eq!(tb.kernel.reclaim.stats().delta(), 0);
     }
 
@@ -426,12 +409,13 @@ mod tests {
     fn apache_under_full_rerand_fleet() {
         // The Fig. 8 configuration: five modules re-randomizing while
         // serving.
-        let tb = Testbed::new(TransformOptions::rerandomizable(true), DriverSet::full());
-        let rr = tb.start_rerand(Duration::from_millis(5));
+        let tb = Testbed::new(TransformOptions::rerandomizable(true), DriverSet::full())
+            .with_sched(SchedConfig::serial(Duration::from_millis(5)));
+        let sched = tb.start_scheduler();
         let m = run_apache(&tb, 1024, 4, 2, Duration::from_millis(200));
-        let stats = rr.stop();
+        let stats = sched.stop();
         assert!(m.ops > 0);
-        assert!(stats.randomized >= 5, "fleet cycled: {}", stats.randomized);
+        assert!(stats.cycles >= 5, "fleet cycled: {}", stats.cycles);
         assert_eq!(tb.kernel.reclaim.stats().delta(), 0);
     }
 

@@ -11,6 +11,7 @@
 //! ```
 
 use adelie::plugin::TransformOptions;
+use adelie::sched::SchedConfig;
 use adelie::workloads::{run_apache, DriverSet, Testbed};
 use std::time::Duration;
 
@@ -29,10 +30,11 @@ fn main() {
     );
 
     // Adelie, re-randomizing all five modules at 5 ms.
-    let tb = Testbed::new(TransformOptions::rerandomizable(true), DriverSet::full());
-    let rr = tb.start_rerand(Duration::from_millis(5));
+    let tb = Testbed::new(TransformOptions::rerandomizable(true), DriverSet::full())
+        .with_sched(SchedConfig::serial(Duration::from_millis(5)));
+    let sched = tb.start_scheduler();
     let m = run_apache(&tb, 4096, 4, 2, window);
-    let stats = rr.stop();
+    let stats = sched.stop();
     println!(
         "adelie @ 5 ms      : {:>8.2} MB/s  {:>7.0} req/s  cpu {:>5.1}%",
         m.mb_per_sec(),
@@ -41,7 +43,7 @@ fn main() {
     );
     println!(
         "\nmodules re-randomized {} times during the run; SMR delta {} (all old ranges unmapped)",
-        stats.randomized,
+        stats.cycles,
         tb.kernel.reclaim.stats().delta()
     );
     let delta = (base.mb_per_sec() - m.mb_per_sec()) / base.mb_per_sec() * 100.0;

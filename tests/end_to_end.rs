@@ -315,22 +315,23 @@ fn dmesg_shape_matches_artifact_appendix() {
     let (kernel, registry) = boot();
     let opts = TransformOptions::rerandomizable(true);
     install_dummy(&registry, &opts).unwrap();
-    // The deprecated shim is exactly what this test is about: the
-    // legacy dmesg shape must survive the scheduler rewrite.
-    #[allow(deprecated)]
-    let rr = adelie::sched::Rerandomizer::spawn(
+    // The artifact's serial kthread shape: one worker, fixed period.
+    let sched = adelie::sched::Scheduler::spawn(
         kernel.clone(),
         registry.clone(),
         &["dummy"],
-        Duration::from_millis(2),
+        adelie::sched::SchedConfig::serial(Duration::from_millis(2)),
     );
     let mut vm = kernel.vm();
     for i in 0..200u64 {
         kernel.ioctl(&mut vm, specs::DUMMY_MINOR, 0, i).unwrap();
     }
-    let stats = rr.stop();
-    adelie::core::log_stats(&kernel, stats.randomized, &registry.stacks);
-    assert!(!kernel.printk.grep("Randomize: kthread started").is_empty());
+    let stats = sched.stop();
+    adelie::core::log_stats(&kernel, stats.cycles, &registry.stacks);
+    assert!(!kernel
+        .printk
+        .grep("sched: pool started (1 workers")
+        .is_empty());
     assert!(!kernel.printk.grep("Randomized").is_empty());
     assert!(!kernel.printk.grep("SMR Retire").is_empty());
     assert!(!kernel.printk.grep("Stack Alloc").is_empty());
