@@ -69,7 +69,7 @@ use adelie_obj::ObjectFile;
 use adelie_plugin::TransformOptions;
 use adelie_vmem::{Pfn, PAGE_SIZE};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use va::{VaAllocator, VaReservation};
 
@@ -78,6 +78,9 @@ use va::{VaAllocator, VaReservation};
 pub struct ModuleRegistry {
     kernel: Arc<Kernel>,
     modules: RwLock<HashMap<Arc<str>, Arc<LoadedModule>>>,
+    /// Names claimed by an in-flight [`ModuleRegistry::load`]: a second
+    /// load of the same name is refused before it maps anything.
+    loading: Mutex<HashSet<Arc<str>>>,
     /// The per-CPU randomized stack pools (shared by all modules).
     pub stacks: Arc<StackPool>,
     va: Arc<VaAllocator>,
@@ -105,6 +108,7 @@ impl ModuleRegistry {
         Arc::new(ModuleRegistry {
             kernel: kernel.clone(),
             modules: RwLock::new(HashMap::new()),
+            loading: Mutex::new(HashSet::new()),
             stacks,
             va,
             cycle_hooks: RwLock::new(None),
@@ -137,9 +141,31 @@ impl ModuleRegistry {
     ///
     /// # Errors
     ///
-    /// [`LoadError`] from the loader, or [`LoadError::MissingEntry`]
-    /// wrapping an init failure.
+    /// [`LoadError::AlreadyLoaded`] when the name is loaded or being
+    /// loaded here, [`LoadError`] from the loader, or
+    /// [`LoadError::MissingEntry`] wrapping an init failure.
     pub fn load(
+        &self,
+        obj: &ObjectFile,
+        opts: &TransformOptions,
+    ) -> Result<Arc<LoadedModule>, LoadError> {
+        // Claim the name before mapping anything. The check and the
+        // claim share the `loading` lock, and a load publishes into
+        // `modules` before releasing its claim, so two loads of one
+        // name can never both proceed.
+        let name: Arc<str> = Arc::from(obj.name.as_str());
+        {
+            let mut loading = self.loading.lock();
+            if self.modules.read().contains_key(&name) || !loading.insert(name.clone()) {
+                return Err(LoadError::AlreadyLoaded(obj.name.clone()));
+            }
+        }
+        let result = self.load_claimed(obj, opts);
+        self.loading.lock().remove(&name);
+        result
+    }
+
+    fn load_claimed(
         &self,
         obj: &ObjectFile,
         opts: &TransformOptions,
@@ -170,6 +196,11 @@ impl ModuleRegistry {
     /// Names of all loaded modules.
     pub fn list(&self) -> Vec<String> {
         self.modules.read().keys().map(|k| k.to_string()).collect()
+    }
+
+    /// Every loaded module, in no particular order.
+    pub(crate) fn residents(&self) -> Vec<Arc<LoadedModule>> {
+        self.modules.read().values().cloned().collect()
     }
 
     /// Unload a module (rmmod): runs its exit entry point, unpublishes
@@ -1232,6 +1263,50 @@ mod tests {
         bases.sort_unstable();
         bases.dedup();
         assert_eq!(bases.len(), 3, "KASLR placement must vary with the seed");
+    }
+
+    /// Regression: a second load of a loaded name used to map a second
+    /// copy — then panic rebinding its exports, or (without exports)
+    /// overwrite the registry entry and leak the first copy's frames
+    /// and mapping for good. It must be refused before anything maps.
+    #[test]
+    fn duplicate_load_is_refused_before_mapping() {
+        let opts = TransformOptions::rerandomizable(true);
+        let mut silent = ModuleSpec::new("silent");
+        silent.funcs.push(FuncSpec {
+            name: "silent_run".into(),
+            exported: false,
+            is_static: false,
+            body: vec![MOp::Ret],
+        });
+        for spec in [demo_spec(), silent] {
+            let kernel = Kernel::new(KernelConfig::default());
+            let registry = ModuleRegistry::new(&kernel);
+            let obj = transform(&spec, &opts).unwrap();
+            let first = registry.load(&obj, &opts).unwrap();
+            let base = first.movable_base.load(Ordering::Acquire);
+            let frames_live = kernel.phys.stats().frames_live;
+            match registry.load(&obj, &opts) {
+                Err(LoadError::AlreadyLoaded(name)) => assert_eq!(name, spec.name),
+                other => panic!("duplicate load must be refused, got {other:?}"),
+            }
+            assert_eq!(kernel.phys.stats().frames_live, frames_live);
+            assert!(Arc::ptr_eq(&registry.get(&spec.name).unwrap(), &first));
+            if let Some(calc) = first.export("demo_calc") {
+                assert_eq!(kernel.vm().call(calc, &[16]).unwrap(), 42);
+            }
+            // The refused load left nothing behind for unload to miss:
+            // unloading the one copy frees exactly its pages.
+            let frames_live = kernel.phys.stats().frames_live;
+            let pages = (first.mapped_bytes() / PAGE_SIZE) as u64;
+            drop(first);
+            registry.unload(&spec.name).unwrap();
+            assert!(kernel
+                .space
+                .translate(base, adelie_vmem::Access::Read)
+                .is_err());
+            assert_eq!(kernel.phys.stats().frames_live, frames_live - pages);
+        }
     }
 
     #[test]

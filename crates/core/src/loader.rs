@@ -48,6 +48,9 @@ pub enum LoadError {
     /// The object failed transformation or ELF ingestion before it
     /// reached the loader proper.
     Ingest(String),
+    /// A module of that name is already loaded (or being loaded) in
+    /// this registry; nothing was mapped.
+    AlreadyLoaded(String),
 }
 
 impl fmt::Display for LoadError {
@@ -61,6 +64,7 @@ impl fmt::Display for LoadError {
             LoadError::MissingEntry(s) => write!(f, "entry point `{s}` not defined"),
             LoadError::TooLarge(s) => write!(f, "module layout overflow: {s}"),
             LoadError::Ingest(s) => write!(f, "object ingestion failed: {s}"),
+            LoadError::AlreadyLoaded(s) => write!(f, "module `{s}` is already loaded"),
         }
     }
 }

@@ -299,6 +299,19 @@ impl LoadedModule {
         pages * adelie_vmem::PAGE_SIZE
     }
 
+    /// `(base, span_bytes)` of each mapped part: the movable part
+    /// first, then the immovable part if there is one.
+    pub(crate) fn spans(&self) -> Vec<(u64, u64)> {
+        let mut spans = vec![(
+            self.movable_base.load(Ordering::Acquire),
+            (self.movable.total_pages * PAGE_SIZE) as u64,
+        )];
+        if let Some(imm) = &self.immovable {
+            spans.push((imm.base, (imm.total_pages * PAGE_SIZE) as u64));
+        }
+        spans
+    }
+
     /// Times this module has been re-randomized.
     pub fn times_randomized(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)

@@ -170,6 +170,37 @@ fn check_cold_invariants(fleet: &Fleet, names: &[String]) -> Option<String> {
     None
 }
 
+/// Every shard's occupancy as the fleet reports it (`loads()`) must
+/// match a recount from ground truth: registry residents plus the
+/// shard's catalog records without a resident copy, and the mapped
+/// bytes of those residents.
+fn check_occupancy(fleet: &Fleet) -> Option<String> {
+    let catalog = fleet.modules();
+    for load in fleet.loads() {
+        let registry = fleet.registry(load.shard);
+        let residents: Vec<_> = registry
+            .list()
+            .iter()
+            .filter_map(|n| registry.get(n))
+            .collect();
+        let cold = catalog
+            .iter()
+            .filter(|(n, s)| *s == load.shard && registry.get(n).is_none())
+            .count();
+        let bytes: usize = residents.iter().map(|m| m.mapped_bytes()).sum();
+        if load.modules != residents.len() + cold || load.mapped_bytes != bytes {
+            return Some(format!(
+                "shard {} books {} modules / {} bytes, recount {} resident + {cold} cold / {bytes} bytes",
+                load.shard,
+                load.modules,
+                load.mapped_bytes,
+                residents.len()
+            ));
+        }
+    }
+    None
+}
+
 fn placement_for(kind: u8) -> Box<dyn ShardPlacement> {
     match kind % 3 {
         0 => Box::new(RoundRobin::new()),
@@ -229,7 +260,9 @@ proptest! {
                 }
                 _ => {}
             }
-            if let Some(violation) = check_invariants(&fleet, &installed) {
+            if let Some(violation) =
+                check_invariants(&fleet, &installed).or_else(|| check_occupancy(&fleet))
+            {
                 prop_assert!(false, "invariant violated: {violation}");
             }
         }
@@ -318,7 +351,9 @@ proptest! {
                     fleet.cold_tick(now_ns);
                 }
             }
-            if let Some(violation) = check_cold_invariants(&fleet, &names) {
+            if let Some(violation) =
+                check_cold_invariants(&fleet, &names).or_else(|| check_occupancy(&fleet))
+            {
                 prop_assert!(false, "invariant violated: {violation}");
             }
         }
