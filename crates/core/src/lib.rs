@@ -637,6 +637,40 @@ mod tests {
         }
     }
 
+    /// Zero-copy moves map the same frames at the new base, so the
+    /// predecoded instructions, keyed by `(pfn, offset)`, survive the
+    /// move — while the old base faults even though its code ran.
+    #[test]
+    fn moved_code_keeps_its_predecoded_instructions() {
+        let opts = TransformOptions::rerandomizable(false);
+        let (kernel, registry, module) = setup(&opts);
+        let calc = module.export("demo_calc").unwrap();
+        let old_helper =
+            module.movable_base.load(Ordering::Relaxed) + module.movable_syms["demo_helper"];
+        let mut vm = kernel.vm();
+        assert_eq!(vm.call(calc, &[16]).unwrap(), 42);
+        assert_eq!(vm.call(old_helper, &[1]).unwrap(), 6);
+        let fetches = |vm: &mut adelie_kernel::Vm<'_>| {
+            let before = vm.insn_cache_stats();
+            assert_eq!(vm.call(calc, &[16]).unwrap(), 42);
+            let after = vm.insn_cache_stats();
+            (after.misses - before.misses, after.hits - before.hits)
+        };
+        let (steady_misses, _) = fetches(&mut vm);
+        rerandomize_module(&kernel, &registry, &module).unwrap();
+        let (misses, hits) = fetches(&mut vm);
+        assert!(hits > 0);
+        assert_eq!(
+            misses, steady_misses,
+            "the first call after the move misses no more than a steady one"
+        );
+        let err = vm.call(old_helper, &[1]).unwrap_err();
+        assert!(
+            matches!(err, VmError::Fault(adelie_vmem::Fault::Unmapped { va }) if va == old_helper),
+            "{err}"
+        );
+    }
+
     #[test]
     fn old_range_is_unmapped_after_drain() {
         let opts = TransformOptions::rerandomizable(false);

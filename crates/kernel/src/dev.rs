@@ -94,6 +94,12 @@ impl DeviceTable {
         self.chars.read().get(&minor).cloned()
     }
 
+    /// The `ioctl` entry of the character device on `minor` (0 if it
+    /// has none) — the per-ioctl lookup, which clones no name.
+    pub fn chrdev_ioctl(&self, minor: u32) -> Option<u64> {
+        self.chars.read().get(&minor).map(|d| d.ioctl)
+    }
+
     /// Install the block device (one per machine, like the paper's
     /// single NVMe under test).
     pub fn register_blkdev(&self, dev: BlockDev) {
@@ -184,7 +190,9 @@ mod tests {
             },
         );
         assert_eq!(t.chrdev(7).unwrap().ioctl, 0x1000);
+        assert_eq!(t.chrdev_ioctl(7), Some(0x1000));
         assert!(t.chrdev(8).is_none());
+        assert_eq!(t.chrdev_ioctl(8), None);
         assert!(t.unregister_chrdev(7).is_some());
         assert!(t.chrdev(7).is_none());
     }

@@ -19,7 +19,7 @@ use crate::symbols::NativeFn;
 use crate::Kernel;
 use adelie_isa::{decode, AluOp, Cond, DecodeError, Insn, Mem, Reg, ARG_REGS};
 use adelie_vmem::{
-    page_base, page_offset, Access, Fault, PteKind, ReadPath, SpaceReader, Tlb, TlbStats,
+    page_base, page_offset, Access, Fault, Pfn, PteKind, ReadPath, SpaceReader, Tlb, TlbStats,
     Translation, PAGE_SIZE,
 };
 use std::collections::HashMap;
@@ -116,6 +116,51 @@ pub struct Vm<'k> {
     /// TLB counters as of the last publish into [`crate::PerCpu`], so
     /// each outermost call exit posts only the delta it produced.
     tlb_published: TlbStats,
+    /// Predecoded instructions, direct-mapped by `(pfn, page offset)`
+    /// (see [`Vm::fetch_decode`]). Keyed by frame rather than by VA, an
+    /// entry survives every zero-copy move of its module.
+    icache: Box<[Predecoded]>,
+    icache_stats: InsnCacheStats,
+}
+
+/// Slots in each CPU's predecoded-instruction cache (the micro-TLB's
+/// order of size).
+const ICACHE_SLOTS: usize = 1024;
+
+/// One predecoded instruction: `insn` (`len` bytes) at `off` in frame
+/// `pfn`, decoded from the frame's generation `gen`.
+#[derive(Copy, Clone)]
+struct Predecoded {
+    pfn: Pfn,
+    off: u16,
+    len: u8,
+    gen: u64,
+    insn: Insn,
+}
+
+/// An entry no fetch matches: no frame has pfn `u64::MAX`.
+const EMPTY: Predecoded = Predecoded {
+    pfn: Pfn(u64::MAX),
+    off: 0,
+    len: 0,
+    gen: 0,
+    insn: Insn::Nop,
+};
+
+/// Cache slot of `(pfn, off)`: consecutive offsets in one page take
+/// consecutive slots, and the page's hash spreads pages apart.
+fn icache_slot(pfn: Pfn, off: usize) -> usize {
+    ((pfn.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54) as usize + off) & (ICACHE_SLOTS - 1)
+}
+
+/// Hit and miss counts of a [`Vm`]'s predecoded-instruction cache, for
+/// tests and benchmarks (see [`Vm::insn_cache_stats`]).
+#[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
+pub struct InsnCacheStats {
+    /// Fetches served from the cache (no frame read, no decode).
+    pub hits: u64,
+    /// Fetches that read and decoded the bytes.
+    pub misses: u64,
 }
 
 impl<'k> Vm<'k> {
@@ -136,6 +181,8 @@ impl<'k> Vm<'k> {
             depth: 0,
             insns_retired: 0,
             tlb_published: TlbStats::default(),
+            icache: vec![EMPTY; ICACHE_SLOTS].into_boxed_slice(),
+            icache_stats: InsnCacheStats::default(),
         }
     }
 
@@ -147,6 +194,11 @@ impl<'k> Vm<'k> {
     /// Total instructions retired by this CPU.
     pub fn insns_retired(&self) -> u64 {
         self.insns_retired
+    }
+
+    /// Hit and miss counts of this CPU's predecoded-instruction cache.
+    pub fn insn_cache_stats(&self) -> InsnCacheStats {
+        self.icache_stats
     }
 
     /// Read a register.
@@ -290,27 +342,59 @@ impl<'k> Vm<'k> {
         }
     }
 
+    /// Fetch and decode the instruction at `rip`.
+    ///
+    /// `rip` always goes through [`Vm::translate`], so NX, MMIO-exec
+    /// and stale-pointer faults never depend on the cache. The frame it
+    /// lands on then keys this CPU's predecoded-instruction cache by
+    /// `(pfn, page offset)`: a hit whose generation still matches the
+    /// frame's skips the read and the decode (and, near a page end, the
+    /// probe of the next page that the 16-byte fetch window needs).
+    /// Only instructions wholly inside one page are cached — [`decode`]
+    /// reads just the first `len` bytes, so such an entry is exact —
+    /// while page-crossing fetches and decode errors take the full path
+    /// every time.
     fn fetch_decode(&mut self, rip: u64) -> Result<(Insn, usize), VmError> {
-        let mut buf = [0u8; 16];
-        let mut got = 0usize;
-        while got < buf.len() {
-            let cur = rip + got as u64;
-            let off = page_offset(cur);
-            let n = (PAGE_SIZE - off).min(buf.len() - got);
-            let t = match self.translate(cur, Access::Exec) {
-                Ok(t) => t,
-                Err(_) if got > 0 => break, // short fetch at a mapping edge
-                Err(e) => return Err(e),
-            };
-            match t.pte.kind {
-                PteKind::Frame(pfn) => {
-                    self.kernel.phys.read(pfn, off, &mut buf[got..got + n]);
-                }
-                PteKind::Mmio { .. } => return Err(VmError::Fault(Fault::MmioExec { va: cur })),
-            }
-            got += n;
+        let off = page_offset(rip);
+        let pfn = match self.translate(rip, Access::Exec)?.pte.kind {
+            PteKind::Frame(pfn) => pfn,
+            PteKind::Mmio { .. } => return Err(VmError::Fault(Fault::MmioExec { va: rip })),
+        };
+        let slot = icache_slot(pfn, off);
+        let e = &self.icache[slot];
+        if e.pfn == pfn && e.off as usize == off && e.gen == self.kernel.phys.generation(pfn) {
+            self.icache_stats.hits += 1;
+            return Ok((e.insn, e.len as usize));
         }
-        decode(&buf[..got]).map_err(|err| VmError::Decode { rip, err })
+        self.icache_stats.misses += 1;
+        let mut buf = [0u8; 16];
+        let mut got = (PAGE_SIZE - off).min(buf.len());
+        let gen = self.kernel.phys.read_tagged(pfn, off, &mut buf[..got]);
+        if got < buf.len() {
+            // The window runs into the next page: a short fetch if that
+            // page does not translate.
+            let cur = rip + got as u64;
+            if let Ok(t) = self.translate(cur, Access::Exec) {
+                match t.pte.kind {
+                    PteKind::Frame(next) => self.kernel.phys.read(next, 0, &mut buf[got..]),
+                    PteKind::Mmio { .. } => {
+                        return Err(VmError::Fault(Fault::MmioExec { va: cur }))
+                    }
+                }
+                got = buf.len();
+            }
+        }
+        let (insn, len) = decode(&buf[..got]).map_err(|err| VmError::Decode { rip, err })?;
+        if off + len <= PAGE_SIZE {
+            self.icache[slot] = Predecoded {
+                pfn,
+                off: off as u16,
+                len: len as u8,
+                gen,
+                insn,
+            };
+        }
+        Ok((insn, len))
     }
 
     fn translate(&mut self, va: u64, access: Access) -> Result<Translation, VmError> {

@@ -38,7 +38,7 @@ mod sharded;
 mod symbols;
 
 pub use dev::{BlockDev, CharDev, DeviceTable, FsOps, NetDev, RxHandler};
-pub use exec::{Vm, VmError};
+pub use exec::{InsnCacheStats, Vm, VmError};
 pub use fs::{disk_byte, CacheStats, Vfs, VfsFile, CACHE_PAGE, SECTORS_PER_PAGE, SECTOR_SIZE};
 pub use heap::Heap;
 pub use mmio::{MmioDevice, MmioRegistry};
@@ -53,7 +53,7 @@ pub use adelie_vmem::{ArchKind, ReadPath, TlbStats};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Callback invoked on every outermost [`Vm::call`] with the entry
@@ -186,9 +186,14 @@ pub struct Kernel {
     /// `(token, callback)` pairs; token 0 is the scheduler's primary
     /// slot (`set_call_observer` replaces it), higher tokens come from
     /// `add_call_observer` (the fleet's cold-tier idle tracker).
-    call_observers: RwLock<Vec<(u64, CallObserver)>>,
+    /// Copy-on-write: a call clones one `Arc`, an edit swaps in a new
+    /// slice.
+    call_observers: RwLock<Arc<[(u64, CallObserver)]>>,
     next_observer_token: AtomicU64,
     demand_loader: RwLock<Option<DemandLoader>>,
+    /// Mirrors `demand_loader.is_some()` (kept under its write lock), so
+    /// the per-call gate takes no lock.
+    has_demand_loader: AtomicBool,
 }
 
 impl Kernel {
@@ -231,9 +236,10 @@ impl Kernel {
             rng: Mutex::new(SmallRng::seed_from_u64(config.seed)),
             next_stack: AtomicU64::new(layout::STACK_BASE),
             next_mmio_bar: AtomicU64::new(layout::MMIO_BASE),
-            call_observers: RwLock::new(Vec::new()),
+            call_observers: RwLock::new(Arc::new([])),
             next_observer_token: AtomicU64::new(1),
             demand_loader: RwLock::new(None),
+            has_demand_loader: AtomicBool::new(false),
             config,
         });
         register_base_natives(&kernel);
@@ -277,14 +283,15 @@ impl Kernel {
     /// primary). The callback runs on every *outermost* interpreted
     /// call, on the calling thread — keep it cheap (a counter bump).
     pub fn set_call_observer(&self, observer: CallObserver) {
-        let mut observers = self.call_observers.write();
-        observers.retain(|(token, _)| *token != 0);
-        observers.push((0, observer));
+        self.edit_call_observers(|observers| {
+            observers.retain(|(token, _)| *token != 0);
+            observers.push((0, observer));
+        });
     }
 
     /// Remove the primary per-call observer.
     pub fn clear_call_observer(&self) {
-        self.call_observers.write().retain(|(token, _)| *token != 0);
+        self.edit_call_observers(|observers| observers.retain(|(token, _)| *token != 0));
     }
 
     /// Install an *additional* per-call observer alongside the primary
@@ -293,24 +300,27 @@ impl Kernel {
     /// without displacing the scheduler's telemetry hook.
     pub fn add_call_observer(&self, observer: CallObserver) -> u64 {
         let token = self.next_observer_token.fetch_add(1, Ordering::Relaxed);
-        self.call_observers.write().push((token, observer));
+        self.edit_call_observers(|observers| observers.push((token, observer)));
         token
     }
 
     /// Remove an observer added with [`Kernel::add_call_observer`].
     pub fn remove_call_observer(&self, token: u64) {
-        self.call_observers.write().retain(|(t, _)| *t != token);
+        self.edit_call_observers(|observers| observers.retain(|(t, _)| *t != token));
+    }
+
+    /// Replace the observer list with an edited copy.
+    fn edit_call_observers(&self, edit: impl FnOnce(&mut Vec<(u64, CallObserver)>)) {
+        let mut observers = self.call_observers.write();
+        let mut next = observers.to_vec();
+        edit(&mut next);
+        *observers = next.into();
     }
 
     /// Invoke every observer for an outermost call to `entry`.
     pub(crate) fn observe_call(&self, entry: u64) {
-        let observers: Vec<CallObserver> = self
-            .call_observers
-            .read()
-            .iter()
-            .map(|(_, o)| o.clone())
-            .collect();
-        for observer in observers {
+        let observers = self.call_observers.read().clone();
+        for (_, observer) in observers.iter() {
             observer(entry);
         }
     }
@@ -319,18 +329,22 @@ impl Kernel {
     /// Consulted by [`Vm::call`] when an outermost entry address does
     /// not translate for execute access — see [`DemandLoader`].
     pub fn set_demand_loader(&self, loader: DemandLoader) {
-        *self.demand_loader.write() = Some(loader);
+        let mut slot = self.demand_loader.write();
+        *slot = Some(loader);
+        self.has_demand_loader.store(true, Ordering::Release);
     }
 
     /// Remove the demand-fault loader.
     pub fn clear_demand_loader(&self) {
-        *self.demand_loader.write() = None;
+        let mut slot = self.demand_loader.write();
+        *slot = None;
+        self.has_demand_loader.store(false, Ordering::Release);
     }
 
     /// Whether a demand loader is installed (fast gate so the common
     /// non-fleet call path skips the probe entirely).
     pub(crate) fn has_demand_loader(&self) -> bool {
-        self.demand_loader.read().is_some()
+        self.has_demand_loader.load(Ordering::Acquire)
     }
 
     /// Consult the demand loader, if any, for a faulting entry address.
@@ -373,14 +387,19 @@ impl Kernel {
     /// `VmError::Native` for an unknown device, else whatever the
     /// driver's wrapper raises.
     pub fn ioctl(&self, vm: &mut Vm<'_>, minor: u32, cmd: u64, arg: u64) -> Result<u64, VmError> {
-        let dev = self
+        let entry = self
             .devices
-            .chrdev(minor)
+            .chrdev_ioctl(minor)
             .ok_or_else(|| VmError::Native(format!("ioctl: no chrdev minor {minor}")))?;
-        if dev.ioctl == 0 {
-            return Err(VmError::Native(format!("ioctl: {} has no ioctl", dev.name)));
+        if entry == 0 {
+            let name = self
+                .devices
+                .chrdev(minor)
+                .map(|d| d.name)
+                .unwrap_or_default();
+            return Err(VmError::Native(format!("ioctl: {name} has no ioctl")));
         }
-        vm.call(dev.ioctl, &[minor as u64, cmd, arg])
+        vm.call(entry, &[minor as u64, cmd, arg])
     }
 
     /// Poll the network driver's receive path once; returns how many

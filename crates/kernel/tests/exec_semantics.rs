@@ -1,9 +1,11 @@
 //! Exhaustive condition-code semantics for the interpreter: every Jcc
-//! against computed flags, signed and unsigned comparisons.
+//! against computed flags, signed and unsigned comparisons. Then the
+//! predecoded-instruction cache: it must never run bytes a frame no
+//! longer holds, nor skip a fetch's permission check.
 
-use adelie_isa::{AluOp, Asm, Cond, Reg};
-use adelie_kernel::{Kernel, KernelConfig};
-use adelie_vmem::{PteFlags, PAGE_SIZE};
+use adelie_isa::{AluOp, Asm, Cond, Insn, Reg};
+use adelie_kernel::{Kernel, KernelConfig, VmError};
+use adelie_vmem::{Fault, PteFlags, PAGE_SIZE};
 use std::sync::Arc;
 
 fn run(kernel: &Arc<Kernel>, asm: &Asm, args: &[u64]) -> u64 {
@@ -186,4 +188,94 @@ fn retpoline_thunk_executes_architecturally() {
     // thunk "returns" into rax=tva, runs the target, whose ret pops the
     // original `call thunk` return address… which then falls to our ret.
     assert_eq!(run(&kernel, &asm, &[tva]), 99);
+}
+
+/// Map `bytes` as text at a fresh address; returns it and the frames.
+fn map_text(kernel: &Arc<Kernel>, bytes: &[u8], pages: usize) -> (u64, Vec<adelie_vmem::Pfn>) {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0x300_0000_0000);
+    let va = NEXT.fetch_add(0x10_0000, std::sync::atomic::Ordering::Relaxed);
+    let pfns = kernel.phys.alloc_n(pages);
+    kernel.space.map_range(va, &pfns, PteFlags::DATA).unwrap();
+    kernel.space.write_bytes(&kernel.phys, va, bytes).unwrap();
+    kernel
+        .space
+        .protect_range(va, pages, PteFlags::TEXT)
+        .unwrap();
+    (va, pfns)
+}
+
+/// `mov rax, v; ret` — the same length for every `v`.
+fn returns(v: u64) -> Vec<u8> {
+    let mut bytes = adelie_isa::encode(&Insn::MovImm64(Reg::Rax, v));
+    bytes.extend(adelie_isa::encode(&Insn::Ret));
+    bytes
+}
+
+#[test]
+fn rewritten_code_frame_runs_its_new_bytes() {
+    let kernel = Kernel::new(KernelConfig::default());
+    let (va, pfns) = map_text(&kernel, &returns(1), 1);
+    let mut vm = kernel.vm();
+    assert_eq!(vm.call(va, &[]).unwrap(), 1);
+    let warm = vm.insn_cache_stats();
+    assert_eq!(vm.call(va, &[]).unwrap(), 1);
+    assert_eq!(vm.insn_cache_stats().hits, warm.hits + 2, "second run hits");
+    kernel.phys.write(pfns[0], 0, &returns(2));
+    assert_eq!(vm.call(va, &[]).unwrap(), 2, "stale decode ran");
+}
+
+#[test]
+fn reused_pfn_never_runs_the_stale_decode() {
+    let kernel = Kernel::new(KernelConfig::default());
+    let (va, pfns) = map_text(&kernel, &returns(1), 1);
+    let mut vm = kernel.vm();
+    assert_eq!(vm.call(va, &[]).unwrap(), 1);
+    assert_eq!(vm.call(va, &[]).unwrap(), 1);
+    kernel.space.unmap(va).unwrap();
+    kernel.phys.free(pfns[0]);
+    let reused = kernel.phys.alloc();
+    assert_eq!(reused, pfns[0], "free-list reuse hands the pfn back");
+    kernel.phys.write(reused, 0, &returns(2));
+    let va2 = va + 0x1000;
+    kernel.space.map(va2, reused, PteFlags::TEXT).unwrap();
+    assert_eq!(vm.call(va2, &[]).unwrap(), 2, "stale decode ran");
+}
+
+#[test]
+fn page_straddling_instruction_decodes_from_both_pages() {
+    let kernel = Kernel::new(KernelConfig::default());
+    // `mov rax, imm64` (10 bytes) starts 4 bytes before the page end.
+    let entry_off = PAGE_SIZE - 4;
+    let mut bytes = vec![0x90u8; entry_off];
+    bytes.extend(returns(0x1122_3344_5566_7788));
+    let (va, pfns) = map_text(&kernel, &bytes, 2);
+    let mut vm = kernel.vm();
+    for _ in 0..2 {
+        assert_eq!(
+            vm.call(va + entry_off as u64, &[]).unwrap(),
+            0x1122_3344_5566_7788
+        );
+    }
+    // Rewrite only the immediate's tail in the second page: the
+    // straddling instruction must pick it up.
+    kernel.phys.write(pfns[1], 0, &[0xAA; 6]);
+    assert_eq!(
+        vm.call(va + entry_off as u64, &[]).unwrap(),
+        0xAAAA_AAAA_AAAA_7788
+    );
+}
+
+#[test]
+fn nx_code_page_faults_after_it_ran() {
+    let kernel = Kernel::new(KernelConfig::default());
+    let (va, _) = map_text(&kernel, &returns(1), 1);
+    let mut vm = kernel.vm();
+    assert_eq!(vm.call(va, &[]).unwrap(), 1);
+    assert_eq!(vm.call(va, &[]).unwrap(), 1);
+    kernel.space.protect(va, PteFlags::RO_DATA).unwrap();
+    let err = vm.call(va, &[]).unwrap_err();
+    assert!(
+        matches!(err, VmError::Fault(Fault::NotExecutable { va: f }) if f == va),
+        "{err}"
+    );
 }

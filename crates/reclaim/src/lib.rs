@@ -42,8 +42,6 @@
 //! assert!(freed.load(Ordering::SeqCst), "freed as soon as calls drain");
 //! ```
 
-#![warn(clippy::undocumented_unsafe_blocks)]
-
 mod ebr;
 mod hyaline;
 

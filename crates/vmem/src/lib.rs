@@ -44,8 +44,6 @@
 //! # Ok::<(), adelie_vmem::Fault>(())
 //! ```
 
-#![warn(clippy::undocumented_unsafe_blocks)]
-
 pub mod arch;
 mod batch;
 mod fault;
